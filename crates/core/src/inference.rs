@@ -385,10 +385,17 @@ impl Drop for FullRateGuard<'_> {
 ///
 /// Each input is a *sample* tensor (e.g. `[d]` features or `[c, h, w]`
 /// images); they are stacked into a `[n, …]` batch, run once, and the logits
-/// are split back out per request. Row `i` of a fixed-order GEMM depends only
-/// on row `i` of the input and the weights, so a request's logits are
-/// bitwise-independent of its batch companions — the property the
-/// cross-thread determinism guarantee rests on.
+/// are split back out per request. Within one batch-size regime, row `i` of
+/// a fixed-order GEMM depends only on row `i` of the input and the weights,
+/// so a request's logits are bitwise-independent of its batch companions —
+/// the property the cross-thread determinism guarantee rests on. Across
+/// regimes they are not: each layer's GEMM switches from the unblocked to
+/// the packed path once `m·n·k` passes the cutoff
+/// ([`ms_tensor::matmul::uses_packed_path`]), and the two sum in different
+/// orders, so the same row can differ in its last bits between, say, a
+/// batch of 1 and a batch of 64. A row's bits are fixed by its inputs, the
+/// weights, the rate and which side of each layer's cutoff the batch size
+/// falls on.
 ///
 /// All intermediates come from the thread-local buffer pool and the batch
 /// shape lives on the stack; in steady state (same `n`, same shapes) the

@@ -5,7 +5,10 @@
 //! (buffer pool + layer workspaces populated, output buffer at capacity) a
 //! stack → forward → split cycle performs **zero** heap allocations at every
 //! candidate slice rate — so a worker's per-batch cost is pure compute, with
-//! no allocator traffic to serialise threads against each other.
+//! no allocator traffic to serialise threads against each other. `fc1` is
+//! above the packed-GEMM cutoff at every rate, so the warm loop runs the
+//! persistent-panel forward (packed once in warm-up) and proves it
+//! allocation-free too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +17,7 @@ use ms_core::inference::{batched_sliced_forward, batched_sliced_forward_into};
 use ms_core::slice_rate::SliceRate;
 use ms_nn::linear::{Linear, LinearConfig};
 use ms_nn::sequential::Sequential;
+use ms_tensor::matmul::uses_packed_path;
 use ms_tensor::{pool, SeededRng, Tensor};
 
 thread_local! {
@@ -84,6 +88,9 @@ fn steady_state_batched_forward_allocates_nothing() {
         })
         .collect();
     let rates = [0.25f32, 0.5, 0.75, 1.0].map(SliceRate::new);
+    // fc1 (32 → 64, four output groups) at its narrowest, r = 0.25: still a
+    // panel-path product, so every measured batch exercises the panels.
+    assert!(uses_packed_path(inputs.len(), 64 / 4, 32));
 
     // Reused response buffer, exactly as a warm engine worker would hold one.
     let mut out = Vec::with_capacity(inputs.len());

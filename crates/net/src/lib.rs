@@ -39,6 +39,9 @@
 //!   [`PipelinedClient`] (background reader; keeps the server's batching
 //!   window full). Both stay blocking: simple client code, reactor-grade
 //!   server.
+//! - [`shard`] — [`shard::serve_from_env`], the whole `shard_server`
+//!   process that `ms-cluster` supervises: an MLP engine behind a
+//!   [`Server`], configured by `MS_SHARD_*` environment variables.
 //!
 //! ## Loopback in five lines
 //!
@@ -57,6 +60,7 @@ pub mod client;
 pub mod protocol;
 pub mod router;
 pub mod server;
+pub mod shard;
 pub mod sys;
 
 pub use client::{Client, PipelinedClient};

@@ -1,0 +1,161 @@
+//! One cluster shard: an elastic serving engine behind a TCP front-end,
+//! run as a child process by the `ms-cluster` supervisor.
+//!
+//! [`serve_from_env`] is the whole process. The `shard_server` bin of this
+//! crate and the root package's `cluster_shard` bin are one-line wrappers
+//! around it; the second exists so that a root `cargo build` or
+//! `cargo test` builds a shard binary, which the root integration tests
+//! name through `CARGO_BIN_EXE_cluster_shard`.
+//!
+//! All configuration arrives through `MS_SHARD_*` environment variables
+//! (a child process's argv is visible to every user on the box; its
+//! environment is not, and env vars keep the supervisor's spawn code
+//! trivial). The process binds an ephemeral port, prints exactly one
+//! `MS_SHARD_ADDR=<ip:port>` line on stdout for the supervisor to read,
+//! and serves until a wire `Drain` completes — at which point it exits 0
+//! so drain-initiated retirement and process exit are one observable
+//! event. A crash (or `kill`) is the other way out, and the supervisor
+//! treats any exit without a preceding drain as a crash to restart.
+//!
+//! | variable                | default       | meaning                               |
+//! |-------------------------|---------------|---------------------------------------|
+//! | `MS_SHARD_ID`           | `0`           | supervisor-assigned shard id          |
+//! | `MS_SHARD_GENERATION`   | `1`           | incarnation counter (bumped on restart)|
+//! | `MS_SHARD_BIND`         | `127.0.0.1:0` | listen address                        |
+//! | `MS_SHARD_REPLICAS`     | `1`           | engine replicas behind the router     |
+//! | `MS_SHARD_INPUT_DIM`    | `8`           | model input width                     |
+//! | `MS_SHARD_HIDDEN`       | `32`          | comma-separated hidden widths         |
+//! | `MS_SHARD_CLASSES`      | `4`           | model output classes                  |
+//! | `MS_SHARD_GROUPS`       | `4`           | slice groups per hidden layer         |
+//! | `MS_SHARD_LATENCY_US`   | `20000`       | SLA `T` in microseconds               |
+//! | `MS_SHARD_T_FULL_US`    | `0`           | quadratic profile: full-width µs per  |
+//! |                         |               | sample; `0` calibrates the real model |
+//! | `MS_SHARD_MAX_QUEUE`    | `100000`      | engine admission queue cap            |
+//! | `MS_SHARD_SAMPLE_MS`    | `250`         | SLO sampler cadence                   |
+//! | `MS_SHARD_SEED`         | `17`          | weight init seed (shared across       |
+//! |                         |               | replicas via `SharedWeights`)         |
+
+use crate::protocol::ShardIdentity;
+use crate::{Router, Server, ServerConfig};
+use ms_core::slice_rate::SliceRateList;
+use ms_models::mlp::{Mlp, MlpConfig};
+use ms_nn::layer::Layer;
+use ms_nn::shared::SharedWeights;
+use ms_serving::controller::{RatePolicy, SlaController};
+use ms_serving::engine::{Engine, EngineConfig};
+use ms_serving::profile::LatencyProfile;
+use ms_tensor::SeededRng;
+use std::io::Write;
+use std::time::Duration;
+
+fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
+    match std::env::var(key) {
+        Ok(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("{key}: unparseable value {v:?}")),
+        Err(_) => default,
+    }
+}
+
+/// Runs one shard process configured from `MS_SHARD_*`: builds the
+/// replicas, prints the `MS_SHARD_ADDR=` handshake line and serves until a
+/// wire `Drain` completes.
+///
+/// # Panics
+/// On an unparseable variable or a failed bind — a shard that cannot start
+/// exits non-zero and its supervisor sees a crash.
+pub fn serve_from_env() {
+    let shard_id: u32 = env_or("MS_SHARD_ID", 0);
+    let generation: u32 = env_or("MS_SHARD_GENERATION", 1);
+    let bind = std::env::var("MS_SHARD_BIND").unwrap_or_else(|_| "127.0.0.1:0".to_string());
+    let replicas: usize = env_or("MS_SHARD_REPLICAS", 1);
+    let input_dim: usize = env_or("MS_SHARD_INPUT_DIM", 8);
+    let hidden: Vec<usize> = std::env::var("MS_SHARD_HIDDEN")
+        .unwrap_or_else(|_| "32".to_string())
+        .split(',')
+        .map(|s| s.trim().parse().expect("MS_SHARD_HIDDEN: bad width"))
+        .collect();
+    let classes: usize = env_or("MS_SHARD_CLASSES", 4);
+    let groups: usize = env_or("MS_SHARD_GROUPS", 4);
+    let latency = env_or("MS_SHARD_LATENCY_US", 20_000u64) as f64 * 1e-6;
+    let t_full = env_or("MS_SHARD_T_FULL_US", 0u64) as f64 * 1e-6;
+    let max_queue: usize = env_or("MS_SHARD_MAX_QUEUE", 100_000);
+    let sample_ms: u64 = env_or("MS_SHARD_SAMPLE_MS", 250);
+    let seed: u64 = env_or("MS_SHARD_SEED", 17);
+    assert!(replicas > 0, "MS_SHARD_REPLICAS must be positive");
+
+    let cfg = MlpConfig {
+        input_dim,
+        hidden_dims: hidden,
+        num_classes: classes,
+        groups,
+        dropout: 0.0,
+        input_rescale: true,
+    };
+    let rates = SliceRateList::from_rates(&[0.25, 0.5, 0.75, 1.0]);
+    // One weight capture hydrates every replica: the shard serves one
+    // model, N threads deep — and with a quadratic profile the planned
+    // capacity is identical across restarts of the same spec, which the
+    // cluster e2e tests lean on. A serving replica also holds packed
+    // weight panels (a second copy of its weights), so no other copy
+    // outlives start-up: the prototype is a temporary, the snapshot is
+    // dropped once the replicas are hydrated, and calibration runs on
+    // replica 0 rather than on a separate probe net.
+    let weights = SharedWeights::capture(&mut Mlp::new(&cfg, &mut SeededRng::new(seed)));
+    let mut nets: Vec<Mlp> = (0..replicas)
+        .map(|i| {
+            let mut m = Mlp::new(&cfg, &mut SeededRng::new(seed + 1 + i as u64));
+            weights.hydrate(&mut m);
+            m
+        })
+        .collect();
+    drop(weights);
+    let profile = if t_full > 0.0 {
+        LatencyProfile::quadratic(rates, t_full)
+    } else {
+        LatencyProfile::calibrate(&mut nets[0], rates, &[input_dim], 256, 3)
+    };
+    let engines: Vec<Engine> = nets
+        .into_iter()
+        .map(|m| {
+            Engine::start(
+                EngineConfig {
+                    latency,
+                    headroom: 1.0,
+                    max_queue,
+                    refine: false,
+                },
+                SlaController::new(profile.clone(), RatePolicy::Elastic),
+                vec![Box::new(m) as Box<dyn Layer + Send>],
+            )
+        })
+        .collect();
+
+    let server = Server::start(
+        &bind as &str,
+        Router::new(engines),
+        ServerConfig {
+            sample_interval: Duration::from_millis(sample_ms.max(1)),
+            shard: Some(ShardIdentity {
+                shard_id,
+                pid: std::process::id(),
+                generation,
+            }),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind shard server");
+
+    // The one line the supervisor waits for. Line-buffered stdout would
+    // also work, but an explicit flush makes the handshake unambiguous.
+    println!("MS_SHARD_ADDR={}", server.local_addr());
+    std::io::stdout().flush().expect("flush addr line");
+
+    // Serve until a wire Drain finishes (stop goes up only after the
+    // flush completed and the ack is queued), then join and exit. The
+    // poll cadence bounds retirement latency, not request latency.
+    while !server.is_stopped() {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    server.shutdown();
+}

@@ -14,7 +14,7 @@ use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_groups, active_units, group_boundary, prefix_input_width, SliceRate};
 use crate::workspace::{PrefixCache, Role, Workspace};
 use ms_tensor::conv::{col2im, im2col, ConvGeom};
-use ms_tensor::matmul::{gemm, Trans};
+use ms_tensor::matmul::{gemm, uses_packed_path, Trans};
 use ms_tensor::panels::{gemm_packed_a, PackedA};
 use ms_tensor::{init, SeededRng, Tensor};
 
@@ -55,7 +55,7 @@ pub struct Conv2d {
     active_out: usize,
     ws: Workspace, // im2col columns and their gradient
     cache: Option<Tensor>,
-    packed: PackedA,     // persistent panels of W (the GEMM A operand)
+    packed: PackedA,     // persistent W panels (packed-regime Infer + prefix)
     prefix: PrefixCache, // full-stride output of the last prefix pass
 }
 
@@ -124,8 +124,10 @@ impl Conv2d {
         &self.weight
     }
 
-    /// Mutable weight access (pruning baselines reorder channels).
+    /// Mutable weight access (pruning baselines reorder channels). Marks
+    /// the panels stale, since the caller may rewrite the weights.
     pub fn weight_mut(&mut self) -> &mut Param {
+        self.packed.invalidate();
         &mut self.weight
     }
 
@@ -161,23 +163,46 @@ impl Layer for Conv2d {
         let mut y =
             Tensor::pooled_zeros([batch, self.active_out, self.geom.out_h(), self.geom.out_w()]);
         let mut col = self.ws.take(Role::Cols, k_rows * out_len);
+        // Serving reads the persistent W panels (bitwise what `gemm`'s
+        // packed path computes); training and tiny products keep `gemm`.
+        let panels = mode == Mode::Infer && uses_packed_path(self.active_out, out_len, k_rows);
+        if panels {
+            self.ensure_packed();
+        }
         for s in 0..batch {
             im2col(x.row(s), self.active_in, &self.geom, &mut col);
-            gemm(
-                Trans::No,
-                Trans::No,
-                self.active_out,
-                out_len,
-                k_rows,
-                1.0,
-                self.weight.value.data(),
-                full_k,
-                &col,
-                out_len,
-                0.0,
-                y.row_mut(s),
-                out_len,
-            );
+            if panels {
+                gemm_packed_a(
+                    0,
+                    self.active_out,
+                    out_len,
+                    0,
+                    k_rows,
+                    1.0,
+                    &self.packed,
+                    &col,
+                    out_len,
+                    0.0,
+                    y.row_mut(s),
+                    out_len,
+                );
+            } else {
+                gemm(
+                    Trans::No,
+                    Trans::No,
+                    self.active_out,
+                    out_len,
+                    k_rows,
+                    1.0,
+                    self.weight.value.data(),
+                    full_k,
+                    &col,
+                    out_len,
+                    0.0,
+                    y.row_mut(s),
+                    out_len,
+                );
+            }
             if let Some(b) = &self.bias {
                 let ys = y.row_mut(s);
                 for ch in 0..self.active_out {

@@ -109,7 +109,9 @@ pub trait Layer {
     /// Packs persistent GEMM panels for the current weights (idempotent;
     /// cheap when already packed). Layers without weight panels ignore it.
     /// Panels are invalidated automatically when weights change through
-    /// `visit_params`, and lazily re-packed on the next prefix forward.
+    /// `visit_params`, and lazily re-packed on the next forward that reads
+    /// them (a prefix forward, or an Infer forward whose product is large
+    /// enough for the packed GEMM path).
     fn prepack(&mut self) {}
 
     /// Multiply–add operations per sample under the *current* slice setting.

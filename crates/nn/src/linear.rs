@@ -11,7 +11,7 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::slice::{active_groups, active_units, group_boundary, prefix_input_width, SliceRate};
 use crate::workspace::PrefixCache;
-use ms_tensor::matmul::{gemm, Trans};
+use ms_tensor::matmul::{gemm, uses_packed_path, Trans};
 use ms_tensor::panels::{gemm_packed_b, PackedB};
 use ms_tensor::{init, SeededRng, Tensor};
 
@@ -57,7 +57,7 @@ pub struct Linear {
     active_in: usize,
     active_out: usize,
     cache: Option<Tensor>, // input of the last Train forward
-    packed: PackedB,       // persistent panels of Wᵀ (the GEMM B operand)
+    packed: PackedB,       // persistent Wᵀ panels (packed-regime Infer + prefix)
     prefix: PrefixCache,   // full-stride output of the last prefix pass
 }
 
@@ -314,21 +314,42 @@ impl Layer for Linear {
         let batch = x.numel() / self.active_in;
         let mut y = Tensor::pooled_zeros([batch, self.active_out]);
         // y = scale * x · W[0..a_out, 0..a_in]^T
-        gemm(
-            Trans::No,
-            Trans::Yes,
-            batch,
-            self.active_out,
-            self.active_in,
-            self.rescale(),
-            x.data(),
-            self.active_in,
-            self.weight.value.data(),
-            self.cfg.in_dim,
-            0.0,
-            y.data_mut(),
-            self.active_out,
-        );
+        if mode == Mode::Infer && uses_packed_path(batch, self.active_out, self.active_in) {
+            // Serving reads the persistent Wᵀ panels instead of re-gathering
+            // the strided block per call. Same micro-kernel and absolute KC
+            // blocking as `gemm`'s packed path, so the same bits.
+            self.ensure_packed();
+            gemm_packed_b(
+                batch,
+                0,
+                self.active_in,
+                0,
+                self.active_out,
+                self.rescale(),
+                x.data(),
+                self.active_in,
+                &self.packed,
+                0.0,
+                y.data_mut(),
+                self.active_out,
+            );
+        } else {
+            gemm(
+                Trans::No,
+                Trans::Yes,
+                batch,
+                self.active_out,
+                self.active_in,
+                self.rescale(),
+                x.data(),
+                self.active_in,
+                self.weight.value.data(),
+                self.cfg.in_dim,
+                0.0,
+                y.data_mut(),
+                self.active_out,
+            );
+        }
         if let Some(b) = &self.bias {
             ms_tensor::ops::add_bias_rows(
                 y.data_mut(),
@@ -433,7 +454,8 @@ impl Layer for Linear {
             f(b);
         }
         // The visitor may have rewritten the weights (optimiser step, weight
-        // hydration); panels re-pack lazily on the next prefix forward.
+        // hydration); panels re-pack lazily on the next forward that reads
+        // them.
         self.packed.invalidate();
     }
 

@@ -12,9 +12,9 @@
 //! buffers laid out so the `MR×NR` register-tile micro-kernel reads both
 //! operands sequentially. All four transpose cases differ only in the pack
 //! routines — the micro-kernel is shared, which also gives the previously
-//! column-strided `(Yes, Yes)` case a contiguous inner loop. Problems below
-//! [`SMALL_GEMM_CUTOFF`] use [`gemm_unblocked`], whose per-case loops beat
-//! packing overhead at tiny sizes.
+//! column-strided `(Yes, Yes)` case a contiguous inner loop. Problems that
+//! [`uses_packed_path`] rejects use [`gemm_unblocked`], whose per-case loops
+//! beat packing overhead at tiny sizes.
 //!
 //! Pack buffers are thread-local and grow-only, so steady-state calls do no
 //! heap allocation.
@@ -61,6 +61,19 @@ pub(crate) const NC: usize = 1024;
 /// costs `O(mk + kn)` and only pays off once each packed element is reused
 /// across several tiles.
 const SMALL_GEMM_CUTOFF: usize = 8192;
+
+/// Whether an `m×n×k` product takes the packed (micro-kernel) path in
+/// [`gemm`] rather than the unblocked one.
+///
+/// The two paths sum in different orders, so this predicate decides an
+/// output's bits. Callers that hold persistent panels
+/// ([`crate::panels`]) use it to serve exactly the products [`gemm`] would
+/// pack — the panel entry points run the same micro-kernel with the same
+/// absolute `KC` blocking, so the result is bitwise what [`gemm`] returns.
+#[inline]
+pub fn uses_packed_path(m: usize, n: usize, k: usize) -> bool {
+    m * n * k > SMALL_GEMM_CUTOFF
+}
 
 thread_local! {
     /// Grow-only pack buffers (`op(A)` panel, `op(B)` panel), reused across
@@ -137,7 +150,7 @@ pub fn gemm(
         return;
     }
 
-    if m * n * k <= SMALL_GEMM_CUTOFF {
+    if !uses_packed_path(m, n, k) {
         gemm_accumulate_unblocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c, ldc);
         return;
     }

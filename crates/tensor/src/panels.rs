@@ -9,6 +9,13 @@
 //! an arbitrary contiguous column (or row) range against an arbitrary
 //! contiguous `k` range — the shapes a per-group prefix forward needs.
 //!
+//! `ms-nn`'s `Linear` and `Conv2d` read these panels on two paths: every
+//! `Mode::Infer` forward whose product takes the packed path
+//! ([`crate::matmul::uses_packed_path`]) — the whole top-left
+//! `a_out × a_in` block at any slice rate, from the one packing made when
+//! the weights load — and every `forward_prefix`. Training forwards and
+//! products below the cutoff keep calling [`crate::matmul::gemm`].
+//!
 //! # Layout
 //!
 //! The packed buffer is segmented by `KC` block along `k`. Block `p` holds
@@ -28,6 +35,14 @@
 //! multiples of `NR`/`MR`). Two calls that cover the same element with the
 //! same `k` range produce bitwise-identical contributions — the foundation
 //! of the anytime prefix-refine path in `ms-nn`.
+//!
+//! A full-range call (`k0 = 0`, `n0 = 0` / `m0 = 0`) is also bitwise equal
+//! to [`crate::matmul::gemm`] on the same block whenever `gemm` takes its
+//! packed path: both run `micro_accumulate` over `KC` blocks at absolute
+//! multiples from `k = 0` and add each block's tile with one
+//! `fmadd(alpha, acc, c)`, and a lane's accumulator never depends on its
+//! neighbours. That is what lets a serving forward swap `gemm` for the
+//! panels without moving a logit bit.
 
 use crate::matmul::{
     micro_kernel_range, pack_a, pack_a_into, pack_b, pack_b_into, with_pack_bufs, Trans, KC, MC,

@@ -7,7 +7,9 @@
 # 2. Kernel benches must run (criterion smoke mode, no timing).
 # 3. The zero-allocation instrumented tests must pass in release — layer
 #    forwards (ms-nn), the engine's batched forward path (ms-core), and
-#    the telemetry record path (ms-telemetry, both feature configs).
+#    the telemetry record path (ms-telemetry, both feature configs). The
+#    Infer-panel bitwise suite (ms-nn/tests/infer_panels.rs) runs here too,
+#    so panel-vs-gemm identity is also checked in an optimised build.
 # 4. `determinism_probe` must print byte-identical fingerprints from a
 #    default build and a `--features telemetry-spans` build: the span
 #    tracer must not perturb one bit of any numeric path.
@@ -81,7 +83,8 @@
 #    the shortened elastic-vs-fixed A/B, writes
 #    results/BENCH_cluster_pr9.json and exits non-zero unless the elastic
 #    fleet's efficiency is >= MS_CLUSTER_GATE (default 1.0) times the
-#    best fixed fleet's. Both the e2e and the bench need the release
+#    best fixed fleet's. The e2e spawns the root package's `cluster_shard`
+#    binary, which `cargo test` builds for it; the bench needs the release
 #    shard_server binary, which step 1's `cargo build --release
 #    --workspace` provides.
 #
@@ -97,6 +100,7 @@ cargo bench -p ms-bench --bench kernels -- --test
 
 echo "== zero-allocation instrumented tests =="
 cargo test --release -p ms-nn --test zero_alloc
+cargo test --release -p ms-nn --test infer_panels
 cargo test --release -p ms-core --test zero_alloc_batched
 cargo test --release -p ms-core --test zero_alloc_refine
 cargo test --release -p ms-telemetry --test zero_alloc

@@ -20,6 +20,7 @@ use modelslicing::cluster::{
     run_trace, AutoscalerConfig, Cluster, ClusterConfig, LoadgenConfig, LoadgenReport, ShardSpec,
 };
 use modelslicing::serving::workload::WorkloadTrace;
+use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -31,12 +32,10 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The root package's shard binary: `cargo test` builds it before this
+/// test runs and names its path at compile time.
 fn shard_spec() -> ShardSpec {
-    let bin = ShardSpec::discover_bin().expect(
-        "shard_server binary not found — build it first (`cargo build --workspace`, \
-         or plain `cargo test` which builds workspace bins)",
-    );
-    ShardSpec::small(bin)
+    ShardSpec::small(PathBuf::from(env!("CARGO_BIN_EXE_cluster_shard")))
 }
 
 fn loadgen_cfg() -> LoadgenConfig {
